@@ -8,7 +8,7 @@ use pga_linalg::Matrix;
 use pga_sensorgen::{Fleet, FleetConfig};
 use pga_stats::Procedure;
 
-fn setup(sensors: u32) -> (OnlineEvaluator, Vec<Matrix>) {
+fn setup(sensors: u32) -> (OnlineEvaluator, Matrix) {
     let fleet = Fleet::new(FleetConfig {
         units: 1,
         sensors_per_unit: sensors,
@@ -17,31 +17,20 @@ fn setup(sensors: u32) -> (OnlineEvaluator, Vec<Matrix>) {
     let obs = fleet.observation_window(0, 199, 200);
     let model = train_unit(0, &obs).unwrap();
     let ev = OnlineEvaluator::new(model, Procedure::BenjaminiHochberg, 0.05);
-    let windows: Vec<Matrix> = (0..16)
-        .map(|k| fleet.observation_window(0, 300 + (k + 1) * 50, 50))
-        .collect();
-    (ev, windows)
+    (ev, fleet.observation_window(0, 350, 50))
 }
 
 fn bench_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_evaluation");
     group.sample_size(10);
     for sensors in [100u32, 1000] {
-        let (ev, windows) = setup(sensors);
+        let (ev, window) = setup(sensors);
         let samples_per_window = 50 * sensors as u64;
         group.throughput(Throughput::Elements(samples_per_window));
         group.bench_with_input(
             BenchmarkId::new("single_window", sensors),
             &sensors,
-            |bch, _| bch.iter(|| black_box(ev.evaluate(black_box(&windows[0])))),
-        );
-        group.throughput(Throughput::Elements(
-            samples_per_window * windows.len() as u64,
-        ));
-        group.bench_with_input(
-            BenchmarkId::new("parallel_batch16", sensors),
-            &sensors,
-            |bch, _| bch.iter(|| black_box(ev.evaluate_many(black_box(&windows)))),
+            |bch, _| bch.iter(|| black_box(ev.evaluate(black_box(&window)))),
         );
     }
     group.finish();
@@ -49,8 +38,8 @@ fn bench_eval(c: &mut Criterion) {
     // Print the headline number the paper reports.
     let r = pga_bench::eval_throughput_experiment(1000, 50, 64, 9);
     println!(
-        "\nE3: online evaluation sustained {:.0} samples/s parallel, {:.0} serial (paper: 939,000)\n",
-        r.throughput, r.serial_throughput
+        "\nE3: online evaluation sustained {:.0} samples/s (paper: 939,000)\n",
+        r.throughput
     );
 }
 

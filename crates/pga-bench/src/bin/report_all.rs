@@ -328,8 +328,8 @@ fn main() {
     println!("== E3: §IV-A — online evaluation throughput ==");
     let eval = eval_throughput_experiment(1000, 50, if quick { 20 } else { 100 }, 9);
     println!(
-        "evaluated {} samples in {:.3}s → {:.0} samples/s parallel ({:.0} serial)",
-        eval.samples, eval.elapsed_secs, eval.throughput, eval.serial_throughput
+        "evaluated {} samples in {:.3}s → {:.0} samples/s",
+        eval.samples, eval.elapsed_secs, eval.throughput
     );
     println!(
         "paper: \"we can evaluate for anomalies at a rate of 939,000 sensor samples per second\""

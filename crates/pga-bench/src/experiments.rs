@@ -58,10 +58,8 @@ pub struct EvalThroughput {
     pub samples: u64,
     /// Wall seconds.
     pub elapsed_secs: f64,
-    /// Samples per second (parallel evaluation).
+    /// Samples per second (serial loop over `OnlineEvaluator::evaluate`).
     pub throughput: f64,
-    /// Samples per second on one thread.
-    pub serial_throughput: f64,
 }
 
 /// Measure online evaluation throughput over `windows` windows of
@@ -86,25 +84,17 @@ pub fn eval_throughput_experiment(
             fleet.observation_window(0, t_end, window_rows)
         })
         .collect();
-    // Serial baseline.
     let start = Instant::now();
     let mut samples = 0u64;
     for w in &ws {
         samples += ev.evaluate(w).samples_scored;
     }
-    let serial = start.elapsed().as_secs_f64();
-    // Parallel.
-    let start = Instant::now();
-    let outs = ev.evaluate_many(&ws);
     let elapsed = start.elapsed().as_secs_f64();
-    let par_samples: u64 = outs.iter().map(|o| o.samples_scored).sum();
-    assert_eq!(par_samples, samples);
     EvalThroughput {
         windows,
         samples,
         elapsed_secs: elapsed,
         throughput: samples as f64 / elapsed,
-        serial_throughput: samples as f64 / serial,
     }
 }
 
@@ -669,7 +659,6 @@ mod tests {
         let r = eval_throughput_experiment(64, 25, 8, 3);
         assert_eq!(r.samples, 8 * 25 * 64);
         assert!(r.throughput > 0.0);
-        assert!(r.serial_throughput > 0.0);
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Partitioned datasets compiled into `pga-sched` task graphs.
+//! The order-preserving parallel map, compiled into `pga-sched` task
+//! graphs.
 //!
-//! Each transformation builds a [`pga_sched::TaskGraph`] — one task per
-//! partition, plus explicit dependency edges for shuffles and merges —
-//! and hands it to the work-stealing scheduler ([`pga_sched::run`]) or,
-//! with a single worker, the deterministic sequential executor
-//! ([`pga_sched::run_sequential`]). Run counters accumulate on the
-//! [`Dataflow`] context and are exposed as [`DataflowStats`] for the
-//! platform's scheduler-observability panel.
+//! [`Dataflow::map`] cuts its input into `workers × 2` chunks and runs
+//! each chunk as one task on the work-stealing scheduler
+//! ([`pga_sched::run`]) or, with a single worker, the deterministic
+//! sequential executor ([`pga_sched::run_sequential`]). Run counters
+//! accumulate on the [`Dataflow`] context and are exposed as
+//! [`DataflowStats`] for the platform's scheduler-observability panel.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pga_sched::{SchedulerConfig, TaskGraph};
 use serde::Serialize;
+
+/// Chunks (and so tasks) per worker in one [`Dataflow::map`] call: two
+/// give the work-stealing scheduler something to balance.
+const CHUNKS_PER_WORKER: usize = 2;
 
 /// Cumulative scheduler counters (atomics; shared by `Dataflow` clones).
 #[derive(Debug, Default)]
@@ -111,20 +113,16 @@ impl Dataflow {
     /// report into the cumulative counters. Worker panics inside task
     /// bodies resurface as a panic here (the pre-`pga-sched` engine let
     /// scoped-thread panics propagate the same way); cycles cannot occur
-    /// in graphs this module builds.
+    /// in graphs this module builds, and each holds `2 × workers` tasks.
     fn execute(&self, graph: TaskGraph<'_>) {
-        if graph.is_empty() {
-            return;
-        }
         let t0 = std::time::Instant::now();
         let clock: pga_sched::Clock = Arc::new(move || t0.elapsed().as_nanos() as u64);
         let seq = self.stats.graph_seq.fetch_add(1, Ordering::Relaxed);
-        let workers = self.workers.min(graph.len()).max(1);
-        let result = if workers == 1 {
+        let result = if self.workers == 1 {
             pga_sched::run_sequential(graph, Some(&clock))
         } else {
             let config = SchedulerConfig {
-                workers,
+                workers: self.workers,
                 seed: self.seed.wrapping_add(seq),
             };
             pga_sched::run(graph, &config, Some(&clock))
@@ -153,290 +151,46 @@ impl Dataflow {
         self.stats.task_ns.fetch_add(stage_ns, Ordering::Relaxed);
     }
 
-    /// Distribute a vector into `partitions` roughly equal chunks.
-    pub fn parallelize<T: Send>(&self, data: Vec<T>, partitions: usize) -> Dataset<T> {
-        assert!(partitions >= 1, "need at least one partition");
-        let n = data.len();
-        let per = n.div_ceil(partitions).max(1);
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(partitions);
-        let mut it = data.into_iter();
-        for _ in 0..partitions {
-            let chunk: Vec<T> = it.by_ref().take(per).collect();
-            parts.push(chunk);
-        }
-        Dataset {
-            ctx: self.clone(),
-            partitions: parts,
-        }
-    }
-}
-
-/// A partitioned, in-memory dataset.
-///
-/// ```
-/// use pga_dataflow::Dataflow;
-///
-/// let df = Dataflow::new(4);
-/// let sum = df
-///     .parallelize((1..=100).collect(), 8)
-///     .map(|x: i64| x * x)
-///     .filter(|x| x % 2 == 0)
-///     .reduce(|a, b| a + b);
-/// assert_eq!(sum, Some((1..=100i64).map(|x| x * x).filter(|x| x % 2 == 0).sum()));
-/// ```
-#[derive(Debug)]
-pub struct Dataset<T> {
-    ctx: Dataflow,
-    partitions: Vec<Vec<T>>,
-}
-
-/// Partition slots shared between graph construction and task bodies.
-type Slot<T> = Mutex<Option<T>>;
-
-/// Per-bucket pair lists produced by a shuffle-scatter task.
-type Buckets<K, V> = Vec<Vec<(K, V)>>;
-
-/// A gathered output partition: each key with its collected values.
-type Grouped<K, V> = Vec<(K, Vec<V>)>;
-
-fn take_slot<T>(slot: &Slot<T>) -> T {
-    slot.lock()
-        .expect("slot lock")
-        .take()
-        .expect("partition taken once")
-}
-
-fn fill_slot<T>(slot: &Slot<T>, value: T) {
-    *slot.lock().expect("slot lock") = Some(value);
-}
-
-fn drain_slots<T>(slots: Vec<Slot<T>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock")
-                .expect("task filled output")
-        })
-        .collect()
-}
-
-impl<T: Send> Dataset<T> {
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Total elements.
-    pub fn count(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
-    }
-
-    /// Run `f` over whole partitions in parallel, producing one output
-    /// partition per input partition. The fundamental parallel primitive —
-    /// everything else is built on it. Compiles to a flat task graph:
-    /// one independent `map_partitions` task per partition.
-    pub fn map_partitions<U, F>(self, f: F) -> Dataset<U>
+    /// Apply `f` to every item in parallel and return the results in
+    /// input order.
+    ///
+    /// The input is cut into `workers × 2` contiguous chunks (the last
+    /// ones empty when there are fewer items than chunks), and each chunk
+    /// runs as one task, so every call runs exactly `2 × workers` tasks.
+    ///
+    /// ```
+    /// use pga_dataflow::Dataflow;
+    ///
+    /// let df = Dataflow::new(4);
+    /// let squares = df.map((1..=10).collect(), |x: i64| x * x);
+    /// assert_eq!(squares, (1..=10i64).map(|x| x * x).collect::<Vec<_>>());
+    /// assert_eq!(df.stats().tasks_run, 8);
+    /// ```
+    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
-        U: Send,
-        F: Fn(Vec<T>) -> Vec<U> + Sync,
-    {
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<T>>> = self
-            .partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let outputs: Vec<Slot<Vec<U>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-        {
-            let f = &f;
-            let mut graph = TaskGraph::new();
-            for (input, output) in inputs.iter().zip(outputs.iter()) {
-                graph.add_task("map_partitions", move || {
-                    fill_slot(output, f(take_slot(input)));
-                });
-            }
-            ctx.execute(graph);
-        }
-        Dataset {
-            ctx,
-            partitions: drain_slots(outputs),
-        }
-    }
-
-    /// Parallel element-wise map.
-    pub fn map<U, F>(self, f: F) -> Dataset<U>
-    where
+        T: Send,
         U: Send,
         F: Fn(T) -> U + Sync,
     {
-        self.map_partitions(|part| part.into_iter().map(&f).collect())
-    }
-
-    /// Parallel filter.
-    pub fn filter<F>(self, f: F) -> Dataset<T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.map_partitions(|part| part.into_iter().filter(|t| f(t)).collect())
-    }
-
-    /// Parallel flat map.
-    pub fn flat_map<U, I, F>(self, f: F) -> Dataset<U>
-    where
-        U: Send,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Sync,
-    {
-        self.map_partitions(|part| part.into_iter().flat_map(&f).collect())
-    }
-
-    /// Parallel reduce: `f` must be associative and commutative. Compiles
-    /// to per-partition `reduce-fold` tasks feeding one `reduce-merge`
-    /// task through explicit dependency edges; the merge folds partials
-    /// in partition order, matching the pre-`pga-sched` engine exactly.
-    pub fn reduce<F>(self, f: F) -> Option<T>
-    where
-        F: Fn(T, T) -> T + Sync,
-    {
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<T>>> = self
-            .partitions
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let partials: Vec<Slot<T>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-        let result: Slot<T> = Mutex::new(None);
-        {
-            let f = &f;
-            let partials_ref = &partials;
-            let result_ref = &result;
-            let mut graph = TaskGraph::new();
-            let mut folds = Vec::with_capacity(inputs.len());
-            for (input, partial) in inputs.iter().zip(partials.iter()) {
-                folds.push(graph.add_task("reduce-fold", move || {
-                    let mut it = take_slot(input).into_iter();
-                    if let Some(first) = it.next() {
-                        fill_slot(partial, it.fold(first, f));
-                    }
-                }));
-            }
-            let merge = graph.add_task("reduce-merge", move || {
-                let mut acc: Option<T> = None;
-                for slot in partials_ref {
-                    if let Some(v) = slot.lock().expect("slot lock").take() {
-                        acc = Some(match acc {
-                            Some(a) => f(a, v),
-                            None => v,
-                        });
-                    }
-                }
-                if let Some(v) = acc {
-                    fill_slot(result_ref, v);
-                }
+        let chunks = self.workers * CHUNKS_PER_WORKER;
+        let per = items.len().div_ceil(chunks).max(1);
+        let outputs: Vec<Mutex<Vec<U>>> = (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
+        let mut items = items.into_iter();
+        let mut graph = TaskGraph::new();
+        let f = &f;
+        for output in &outputs {
+            let chunk: Vec<T> = items.by_ref().take(per).collect();
+            graph.add_task("map", move || {
+                let mapped: Vec<U> = chunk.into_iter().map(f).collect();
+                *output.lock().expect("chunk lock") = mapped;
             });
-            for fold in folds {
-                graph.add_edge(fold, merge).expect("valid edge");
-            }
-            ctx.execute(graph);
         }
-        result.into_inner().expect("slot lock")
-    }
-
-    /// Gather all elements (partition order preserved).
-    pub fn collect(self) -> Vec<T> {
-        self.partitions.into_iter().flatten().collect()
-    }
-}
-
-impl<K, V> Dataset<(K, V)>
-where
-    K: Send + Hash + Eq + Clone,
-    V: Send,
-{
-    /// Hash shuffle: group values by key into `output_partitions`
-    /// partitions (all pairs of one key land in one partition), then
-    /// build per-key groups. The Spark `groupByKey` analog.
-    ///
-    /// Compiles to `shuffle-scatter` tasks (one per input partition,
-    /// bucketing pairs by key hash) feeding `shuffle-gather` tasks (one
-    /// per output partition) through a full bipartite edge set. Bucket
-    /// assignment is byte-identical to the pre-`pga-sched` engine, and
-    /// each key's values arrive in input-partition-then-row order as
-    /// before; key order *within* an output partition is now
-    /// deterministic (first occurrence) where the old engine exposed
-    /// `HashMap` iteration order.
-    pub fn group_by_key(self, output_partitions: usize) -> Dataset<(K, Vec<V>)> {
-        assert!(output_partitions >= 1);
-        let ctx = self.ctx.clone();
-        let inputs: Vec<Slot<Vec<(K, V)>>> = self
-            .partitions
+        self.execute(graph);
+        outputs
             .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        // scattered[input][bucket] holds that input partition's pairs for
-        // that bucket, in row order.
-        let scattered: Vec<Mutex<Buckets<K, V>>> =
-            inputs.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let outputs: Vec<Slot<Grouped<K, V>>> =
-            (0..output_partitions).map(|_| Mutex::new(None)).collect();
-        {
-            let scattered_ref = &scattered;
-            let mut graph = TaskGraph::new();
-            let mut scatters = Vec::with_capacity(inputs.len());
-            for (input, slot) in inputs.iter().zip(scattered.iter()) {
-                scatters.push(graph.add_task("shuffle-scatter", move || {
-                    let mut buckets: Vec<Vec<(K, V)>> =
-                        (0..output_partitions).map(|_| Vec::new()).collect();
-                    for (k, v) in take_slot(input) {
-                        buckets[bucket_for(&k, output_partitions)].push((k, v));
-                    }
-                    *slot.lock().expect("slot lock") = buckets;
-                }));
-            }
-            for (bucket, output) in outputs.iter().enumerate() {
-                let gather = graph.add_task("shuffle-gather", move || {
-                    let mut order: Vec<K> = Vec::new();
-                    let mut groups: HashMap<K, Vec<V>> = HashMap::new();
-                    for slot in scattered_ref {
-                        let mut guard = slot.lock().expect("slot lock");
-                        if let Some(pairs) = guard.get_mut(bucket) {
-                            for (k, v) in std::mem::take(pairs) {
-                                if let Some(vs) = groups.get_mut(&k) {
-                                    vs.push(v);
-                                } else {
-                                    order.push(k.clone());
-                                    groups.insert(k, vec![v]);
-                                }
-                            }
-                        }
-                    }
-                    let grouped = order
-                        .into_iter()
-                        .filter_map(|k| groups.remove(&k).map(|vs| (k, vs)))
-                        .collect();
-                    fill_slot(output, grouped);
-                });
-                for &scatter in &scatters {
-                    graph.add_edge(scatter, gather).expect("valid edge");
-                }
-            }
-            ctx.execute(graph);
-        }
-        Dataset {
-            ctx,
-            partitions: drain_slots(outputs),
-        }
+            .flat_map(|o| o.into_inner().expect("chunk lock"))
+            .collect()
     }
-}
-
-/// The shuffle's bucket assignment — kept byte-identical to the
-/// pre-`pga-sched` engine (same `DefaultHasher` construction, same
-/// modulo) so cached shuffle layouts and the pinning tests agree.
-fn bucket_for<K: Hash>(key: &K, output_partitions: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % output_partitions as u64) as usize
 }
 
 #[cfg(test)]
@@ -448,112 +202,23 @@ mod tests {
     }
 
     #[test]
-    fn parallelize_partitions_evenly() {
-        let d = ctx().parallelize((0..10).collect(), 3);
-        assert_eq!(d.num_partitions(), 3);
-        assert_eq!(d.count(), 10);
-        let sizes: Vec<usize> = d.partitions.iter().map(|p| p.len()).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
-    }
-
-    #[test]
     fn map_preserves_order() {
-        let d = ctx().parallelize((0..100).collect(), 7);
-        let out = d.map(|x: i32| x * 2).collect();
+        let out = ctx().map((0..100).collect(), |x: i32| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
-    fn filter_drops_elements() {
-        let d = ctx().parallelize((0..100).collect(), 5);
-        let out = d.filter(|x: &i32| x % 3 == 0).collect();
-        assert_eq!(out.len(), 34);
-        assert!(out.iter().all(|x| x % 3 == 0));
-    }
-
-    #[test]
-    fn flat_map_expands() {
-        let d = ctx().parallelize(vec![1, 2, 3], 2);
-        let out = d.flat_map(|x: i32| vec![x; x as usize]).collect();
-        assert_eq!(out, vec![1, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let d = ctx().parallelize((1..=100).collect(), 9);
-        assert_eq!(d.reduce(|a: i32, b| a + b), Some(5050));
-    }
-
-    #[test]
-    fn reduce_empty_is_none() {
-        let d = ctx().parallelize(Vec::<i32>::new(), 3);
-        assert_eq!(d.reduce(|a, b| a + b), None);
-    }
-
-    #[test]
-    fn reduce_with_empty_partitions() {
-        // 2 elements across 5 partitions: 3 empty partitions must not break.
-        let d = ctx().parallelize(vec![10, 20], 5);
-        assert_eq!(d.reduce(|a: i32, b| a + b), Some(30));
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let pairs: Vec<(u32, u32)> = (0..100).map(|i| (i % 7, i)).collect();
-        let d = ctx().parallelize(pairs, 6);
-        let grouped = d.group_by_key(4).collect();
-        assert_eq!(grouped.len(), 7);
-        let total: usize = grouped.iter().map(|(_, vs)| vs.len()).sum();
-        assert_eq!(total, 100);
-        for (k, vs) in &grouped {
-            assert!(vs.iter().all(|v| v % 7 == *k));
-        }
-    }
-
-    #[test]
-    fn group_by_key_single_output_partition() {
-        let d = ctx().parallelize(vec![(1, "a"), (2, "b"), (1, "c")], 2);
-        let grouped = d.group_by_key(1).collect();
-        assert_eq!(grouped.len(), 2);
-        let ones = grouped.iter().find(|(k, _)| *k == 1).unwrap();
-        assert_eq!(ones.1.len(), 2);
-    }
-
-    #[test]
-    fn map_partitions_sees_whole_partitions() {
-        let d = ctx().parallelize((0..12).collect(), 4);
-        let sums = d
-            .map_partitions(|p: Vec<i32>| vec![p.iter().sum::<i32>()])
-            .collect();
-        assert_eq!(sums.len(), 4);
-        assert_eq!(sums.iter().sum::<i32>(), 66);
+    fn more_partitions_than_elements() {
+        // 2 items across 8 chunks: the empty chunks still run and add nothing.
+        assert_eq!(ctx().map(vec![1, 2], |x: i32| x + 1), vec![2, 3]);
     }
 
     #[test]
     fn single_worker_matches_many_workers() {
-        let serial = Dataflow::new(1)
-            .parallelize((0..1000).collect(), 8)
-            .map(|x: i64| x * x)
-            .reduce(|a, b| a + b);
-        let parallel = Dataflow::new(8)
-            .parallelize((0..1000).collect(), 8)
-            .map(|x: i64| x * x)
-            .reduce(|a, b| a + b);
+        let serial = Dataflow::new(1).map((0..1000).collect(), |x: i64| x * x);
+        let parallel = Dataflow::new(8).map((0..1000).collect(), |x: i64| x * x);
         assert_eq!(serial, parallel);
     }
-
-    #[test]
-    fn more_partitions_than_elements() {
-        let d = ctx().parallelize(vec![1, 2], 10);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.map(|x: i32| x + 1).collect(), vec![2, 3]);
-    }
-
-    // ---- edge-case audit + old-vs-new engine pinning (ISSUE 10) ----
-    //
-    // The reference implementations below reproduce the pre-`pga-sched`
-    // bounded-pool engine's observable behavior partition by partition;
-    // the tests pin the task-graph engine against them byte-for-byte.
 
     #[test]
     #[should_panic(expected = "need at least one worker")]
@@ -562,134 +227,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "need at least one partition")]
-    fn zero_partitions_rejected() {
-        let _ = ctx().parallelize(vec![1, 2, 3], 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_output_partitions_rejected_by_group_by_key() {
-        let _ = ctx().parallelize(vec![(1u32, 1u32)], 2).group_by_key(0);
-    }
-
-    /// Old engine's `parallelize` chunking, reproduced serially.
-    fn reference_partitions<T>(data: Vec<T>, partitions: usize) -> Vec<Vec<T>> {
-        let per = data.len().div_ceil(partitions).max(1);
-        let mut parts = Vec::with_capacity(partitions);
-        let mut it = data.into_iter();
-        for _ in 0..partitions {
-            parts.push(it.by_ref().take(per).collect());
-        }
-        parts
-    }
-
-    #[test]
-    fn map_partitions_pins_old_engine_per_partition() {
-        for parts in [1, 3, 7, 16] {
-            for workers in [1, 2, 5] {
-                let data: Vec<i64> = (0..37).collect();
-                let got = Dataflow::new(workers)
-                    .parallelize(data.clone(), parts)
-                    .map_partitions(|p| vec![p.iter().sum::<i64>(), p.len() as i64]);
-                let expect: Vec<Vec<i64>> = reference_partitions(data, parts)
-                    .into_iter()
-                    .map(|p| vec![p.iter().sum::<i64>(), p.len() as i64])
-                    .collect();
-                assert_eq!(got.partitions, expect, "parts={parts} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_dataset_flows_through_every_operation() {
-        let empty: Vec<i64> = Vec::new();
-        let d = ctx().parallelize(empty.clone(), 4);
-        assert_eq!(d.num_partitions(), 4);
-        assert_eq!(d.count(), 0);
-        assert_eq!(
-            ctx().parallelize(empty.clone(), 4).map(|x| x + 1).collect(),
-            Vec::<i64>::new()
-        );
-        assert_eq!(
-            ctx()
-                .parallelize(empty.clone(), 4)
-                .filter(|_| true)
-                .collect(),
-            Vec::<i64>::new()
-        );
-        assert_eq!(ctx().parallelize(empty, 4).reduce(|a, b| a + b), None);
-        let no_pairs: Vec<(u32, u32)> = Vec::new();
-        let grouped = ctx().parallelize(no_pairs, 3).group_by_key(5);
-        assert_eq!(grouped.num_partitions(), 5);
-        assert_eq!(grouped.collect(), Vec::<(u32, Vec<u32>)>::new());
-    }
-
-    #[test]
-    fn group_by_key_bucket_assignment_pins_old_engine() {
-        // The old engine computed `DefaultHasher(k) % output_partitions`;
-        // every key must land in exactly that output partition.
-        let pairs: Vec<(u64, u64)> = (0..200).map(|i| (i % 23, i)).collect();
-        let grouped = ctx().parallelize(pairs, 7).group_by_key(5);
-        assert_eq!(grouped.num_partitions(), 5);
-        for (idx, part) in grouped.partitions.iter().enumerate() {
-            for (k, _) in part {
-                assert_eq!(bucket_for(k, 5), idx, "key {k} in wrong bucket");
-            }
-        }
-    }
-
-    #[test]
-    fn group_by_key_pins_old_engine_per_partition() {
-        // Old-engine reference: scatter in partition-row order, serial
-        // redistribution, per-bucket HashMap grouping. Key order within a
-        // partition was HashMap-iteration (nondeterministic) there, so the
-        // comparison sorts pairs by key; value order per key was
-        // deterministic and must match exactly.
-        let pairs: Vec<(u32, i64)> = (0..150).map(|i| (i % 13, i as i64 * 3)).collect();
-        let (input_parts, output_parts) = (6, 4);
-
-        let mut buckets: Vec<Vec<(u32, i64)>> = (0..output_parts).map(|_| Vec::new()).collect();
-        for part in reference_partitions(pairs.clone(), input_parts) {
-            for (k, v) in part {
-                buckets[bucket_for(&k, output_parts)].push((k, v));
-            }
-        }
-        let expect: Vec<Vec<(u32, Vec<i64>)>> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let mut groups: HashMap<u32, Vec<i64>> = HashMap::new();
-                for (k, v) in bucket {
-                    groups.entry(k).or_default().push(v);
-                }
-                let mut out: Vec<(u32, Vec<i64>)> = groups.into_iter().collect();
-                out.sort_by_key(|(k, _)| *k);
-                out
-            })
-            .collect();
-
-        for workers in [1, 4] {
-            let grouped = Dataflow::new(workers)
-                .parallelize(pairs.clone(), input_parts)
-                .group_by_key(output_parts);
-            let mut got = grouped.partitions.clone();
-            for part in &mut got {
-                part.sort_by_key(|(k, _)| *k);
-            }
-            assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn group_by_key_key_order_is_first_occurrence() {
-        // New-engine guarantee the old engine lacked: pair order within an
-        // output partition follows first key occurrence in scan order.
-        let pairs = vec![(5u32, "a"), (1, "b"), (5, "c"), (9, "d"), (1, "e")];
-        let grouped = ctx().parallelize(pairs, 1).group_by_key(1).collect();
-        let keys: Vec<u32> = grouped.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![5, 1, 9]);
-        assert_eq!(grouped[0].1, vec!["a", "c"]);
-        assert_eq!(grouped[1].1, vec!["b", "e"]);
+        let df = ctx();
+        assert_eq!(df.map(Vec::<i64>::new(), |x| x + 1), Vec::<i64>::new());
+        assert_eq!(df.stats().tasks_run, 8, "empty chunks are still tasks");
     }
 
     #[test]
@@ -697,15 +238,13 @@ mod tests {
         let df = Dataflow::new(3);
         let before = df.stats();
         assert_eq!(before.graphs_run, 0);
-        let sum = df
-            .parallelize((0..100i64).collect(), 8)
-            .map(|x| x + 1)
-            .reduce(|a, b| a + b);
-        assert_eq!(sum, Some(5050));
+        let once = df.map((0..100i64).collect(), |x| x + 1);
+        let twice = df.map(once, |x| x * 2);
+        assert_eq!(twice.iter().sum::<i64>(), 10_100);
         let after = df.stats();
-        // map -> 8 tasks; reduce -> 8 folds + 1 merge.
+        // Each map is one graph of 2 × 3 chunk tasks.
         assert_eq!(after.graphs_run, 2);
-        assert_eq!(after.tasks_run, 17);
+        assert_eq!(after.tasks_run, 12);
         assert!(after.task_ns_total > 0);
         assert!(after.mean_task_us() > 0.0);
     }
@@ -714,10 +253,7 @@ mod tests {
     fn seeded_contexts_share_stats_across_clones() {
         let df = Dataflow::with_seed(2, 99);
         let clone = df.clone();
-        let _ = clone
-            .parallelize((0..10i32).collect(), 2)
-            .map(|x| x)
-            .collect();
+        let _ = clone.map((0..10i32).collect(), |x| x);
         assert_eq!(df.stats().graphs_run, 1);
     }
 }

@@ -4,21 +4,22 @@
 //! (§II, §IV-A), caching SVD results to HDFS. This crate supplies the
 //! equivalent substrate:
 //!
-//! * [`Dataflow`] / [`Dataset`] — partitioned collections with parallel
-//!   `map`, `filter`, `flat_map`, `map_partitions`, `reduce`, `count`,
-//!   `collect`, and a hash-shuffled `group_by_key` (the "concurrency of
-//!   Spark" §IV-A plans to exploit). Each transformation compiles into a
-//!   `pga-sched` task graph — one task per partition plus explicit
-//!   shuffle/merge edges — executed by the seeded work-stealing
-//!   scheduler (or the sequential executor with one worker).
+//! * [`Dataflow::map`] — the one parallel operation the training tier
+//!   needs: an order-preserving map that cuts its input into
+//!   `workers × 2` chunks and runs each chunk as one `pga-sched` task on
+//!   the seeded work-stealing scheduler (or the sequential executor with
+//!   one worker). Every batch-training caller — fleet training, the
+//!   monitor's training pass and incremental retraining — is one such
+//!   map over units.
 //! * [`DataflowStats`] — cumulative scheduler counters (tasks, steals,
 //!   queue depth, task latency) for the platform observability panel.
 //! * [`DiskCache`] — a directory-backed object cache standing in for HDFS
 //!   ("results from the decomposition are cached to HDFS").
 //!
-//! The engine is eager (each transformation runs immediately, in
-//! parallel); lineage/laziness is orthogonal to everything the paper's
-//! workload needs. DESIGN.md §13 describes the scheduler substrate.
+//! The map is eager (it runs immediately, in parallel); lineage,
+//! laziness and Spark's wider operator set are orthogonal to everything
+//! the paper's workload needs. DESIGN.md §13 describes the scheduler
+//! substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,4 +28,4 @@ mod cache;
 mod dataset;
 
 pub use cache::{CacheError, DiskCache};
-pub use dataset::{Dataflow, DataflowStats, Dataset};
+pub use dataset::{Dataflow, DataflowStats};

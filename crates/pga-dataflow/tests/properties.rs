@@ -1,101 +1,24 @@
-//! Property tests: every dataflow transformation agrees with its
-//! sequential `Vec` counterpart regardless of partitioning and worker
-//! count.
+//! Property test: `Dataflow::map` agrees with a sequential `map` for any
+//! input length and worker count, and runs `2 × workers` tasks per call.
 
 use proptest::prelude::*;
 
 use pga_dataflow::Dataflow;
 
-fn data() -> impl Strategy<Value = Vec<i64>> {
-    proptest::collection::vec(-1000i64..1000, 0..200)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn map_equals_sequential(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df.parallelize(d.clone(), parts).map(|x| x * 3 - 1).collect();
-        let expect: Vec<i64> = d.iter().map(|x| x * 3 - 1).collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn filter_equals_sequential(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df.parallelize(d.clone(), parts).filter(|x| x % 3 == 0).collect();
-        let expect: Vec<i64> = d.iter().copied().filter(|x| x % 3 == 0).collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn flat_map_equals_sequential(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df
-            .parallelize(d.clone(), parts)
-            .flat_map(|x| if x % 2 == 0 { vec![x, x] } else { vec![] })
-            .collect();
-        let expect: Vec<i64> = d
-            .iter()
-            .flat_map(|&x| if x % 2 == 0 { vec![x, x] } else { vec![] })
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn reduce_equals_sequential_sum(d in data(), workers in 1usize..6, parts in 1usize..9) {
-        let df = Dataflow::new(workers);
-        let got = df.parallelize(d.clone(), parts).reduce(|a, b| a + b);
-        let expect = d.iter().copied().reduce(|a, b| a + b);
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn count_is_preserved_through_partitioning(d in data(), parts in 1usize..16) {
-        let df = Dataflow::new(3);
-        let ds = df.parallelize(d.clone(), parts);
-        prop_assert_eq!(ds.count(), d.len());
-        prop_assert!(ds.num_partitions() <= parts.max(1));
-    }
-
-    #[test]
-    fn group_by_key_partitions_pairs_completely(
-        pairs in proptest::collection::vec((0u8..12, -100i64..100), 0..150),
-        out_parts in 1usize..6,
+    fn map_equals_sequential(
+        d in proptest::collection::vec(-1000i64..1000, 0..64),
+        workers in 1usize..6,
     ) {
-        let df = Dataflow::new(4);
-        let grouped = df
-            .parallelize(pairs.clone(), 5)
-            .group_by_key(out_parts)
-            .collect();
-        // Every key appears exactly once.
-        let mut keys: Vec<u8> = grouped.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        let mut expect_keys: Vec<u8> = pairs.iter().map(|(k, _)| *k).collect();
-        expect_keys.sort_unstable();
-        expect_keys.dedup();
-        prop_assert_eq!(keys, expect_keys);
-        // Multiset of values per key matches.
-        for (k, mut vs) in grouped {
-            vs.sort_unstable();
-            let mut expect: Vec<i64> = pairs
-                .iter()
-                .filter(|(pk, _)| *pk == k)
-                .map(|(_, v)| *v)
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(vs, expect);
+        let df = Dataflow::new(workers);
+        for call in 1..=2u64 {
+            let got = df.map(d.clone(), |x| x * 3 - 1);
+            let expect: Vec<i64> = d.iter().map(|x| x * 3 - 1).collect();
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(df.stats().tasks_run, call * 2 * workers as u64);
         }
-    }
-
-    #[test]
-    fn map_partitions_preserves_partition_structure(d in data(), parts in 1usize..8) {
-        let df = Dataflow::new(2);
-        let ds = df.parallelize(d.clone(), parts);
-        let n_parts = ds.num_partitions();
-        let counted = ds.map_partitions(|p| vec![p.len()]).collect();
-        prop_assert_eq!(counted.len(), n_parts);
-        prop_assert_eq!(counted.iter().sum::<usize>(), d.len());
     }
 }

@@ -49,9 +49,10 @@ impl BatchEvaluator {
         &self.evaluators
     }
 
-    /// Evaluate one columnar window per unit, in parallel. `windows[i]`
-    /// feeds evaluator `i`; a unit with no fresh window passes `None` and
-    /// yields `None`.
+    /// Evaluate one columnar window per unit. `windows[i]` feeds
+    /// evaluator `i`; a unit with no fresh window passes `None` and yields
+    /// `None`. The units run one after another: the vendored `rayon`
+    /// shim behind `par_iter` is sequential.
     pub fn evaluate_columns(
         &self,
         windows: &[Option<ColumnWindow<'_>>],

@@ -129,11 +129,7 @@ impl FleetTrainer {
             .iter()
             .filter_map(|u| self.trainers.get(u).map(|t| (*u, t.clone())))
             .collect();
-        let partitions = dataflow.workers().max(1) * 2;
-        let results = dataflow
-            .parallelize(snapshots, partitions)
-            .map(|(unit, trainer)| (unit, trainer.finish()))
-            .collect();
+        let results = dataflow.map(snapshots, |(unit, trainer)| (unit, trainer.finish()));
         let mut errors = Vec::new();
         for (unit, result) in results {
             match result {

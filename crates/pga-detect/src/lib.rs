@@ -17,12 +17,13 @@
 //!    Benjamini–Hochberg FDR procedure (or any baseline from
 //!    [`pga_stats::multiple`]) to decide which sensors to flag.
 //!
-//! Columnar path: the block store serves windows as per-sensor column
-//! slices, so training ([`train_unit_columns`],
-//! [`StreamingTrainer::update_columns`]) and evaluation
-//! ([`OnlineEvaluator::evaluate_columns`], fleet-wide via
-//! [`BatchEvaluator`]) accept that shape directly — many units per pass,
-//! bit-identical to the row-major paths.
+//! One scoring kernel: [`OnlineEvaluator::evaluate`] (row-major window),
+//! [`OnlineEvaluator::evaluate_columns`] (the per-sensor column slices the
+//! block store serves; fleet-wide via [`BatchEvaluator`]) and
+//! [`OnlineEvaluator::evaluate_sampled`] (brownout) all sum the sampled
+//! sensors' columns in sample order and feed the same scoring core, so
+//! the row-major and columnar verdicts agree bit for bit. Brownout is a
+//! sensor stride on that kernel; stride 1 is full fidelity.
 //!
 //! Blocks: with 1000 sensors per unit a full 1000×1000 Jacobi SVD is
 //! wasteful — fault correlation in the generator (and in the physical
@@ -49,4 +50,4 @@ pub use incremental::{model_divergence, FleetTrainer};
 pub use model::{BlockModel, UnitModel, BLOCK_SENSORS};
 pub use online::{EvalOutcome, OnlineEvaluator, SensorFlag};
 pub use streaming::StreamingTrainer;
-pub use trainer::{train_fleet, train_unit, train_unit_columns, TrainError};
+pub use trainer::{train_fleet, train_unit, TrainError};

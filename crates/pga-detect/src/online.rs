@@ -1,7 +1,6 @@
 //! Online evaluation: score new windows against a trained model and flag
 //! anomalies under FDR control.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pga_linalg::Matrix;
@@ -89,32 +88,22 @@ impl OnlineEvaluator {
     }
 
     /// Evaluate a window (rows = time, columns = sensors; must match the
-    /// model's sensor count).
+    /// model's sensor count) at full fidelity: every sensor scored, block
+    /// T² included. This is [`OnlineEvaluator::evaluate_sampled`] at
+    /// stride 1.
     pub fn evaluate(&self, window: &Matrix) -> EvalOutcome {
-        let (n, p) = window.shape();
-        assert_eq!(p, self.model.sensors(), "sensor count mismatch");
-        assert!(n > 0, "window must be non-empty");
-        // Per-sensor window means.
-        let mut means = vec![0.0; p];
-        for r in 0..n {
-            pga_linalg::axpy(1.0, window.row(r), &mut means);
-        }
-        let inv = 1.0 / n as f64;
-        pga_linalg::scale(&mut means, inv);
-        self.score_means(n, means)
+        self.evaluate_sampled(window, 1)
     }
 
     /// Evaluate a window presented as **per-sensor column slices** — the
     /// shape the columnar block store hands back ([`pga_tsdb`]'s
     /// `ColumnSeries::values`) — without materialising a row-major window.
     ///
-    /// Each column sums in sample order, the exact addition sequence the
-    /// row-major `axpy` loop of [`OnlineEvaluator::evaluate`] performs, so
-    /// the two paths agree **bit-for-bit** (the differential suite pins
-    /// this).
+    /// Each column sums in sample order, the same addition sequence
+    /// [`OnlineEvaluator::evaluate`] performs per sensor, so the two paths
+    /// agree **bit-for-bit** (the differential suite pins this).
     pub fn evaluate_columns(&self, columns: &[&[f64]]) -> EvalOutcome {
-        let p = columns.len();
-        assert_eq!(p, self.model.sensors(), "sensor count mismatch");
+        assert_eq!(columns.len(), self.model.sensors(), "sensor count mismatch");
         let n = columns.first().map_or(0, |c| c.len());
         assert!(n > 0, "window must be non-empty");
         assert!(
@@ -122,166 +111,120 @@ impl OnlineEvaluator {
             "ragged columns: every sensor needs {n} samples"
         );
         let inv = 1.0 / n as f64;
-        let means: Vec<f64> = columns
+        let means = columns
             .iter()
-            .map(|col| {
-                let mut acc = 0.0;
-                for &x in *col {
-                    acc += x;
-                }
-                acc * inv
-            })
+            .map(|col| col.iter().fold(0.0, |acc, &x| acc + x) * inv)
             .collect();
-        self.score_means(n, means)
+        self.score(n, 1, means)
     }
 
-    /// Shared scoring core: per-sensor z-tests, FDR control, and block T²
-    /// from a window-mean vector computed over `n` samples.
-    fn score_means(&self, n: usize, means: Vec<f64>) -> EvalOutcome {
-        let p = means.len();
+    /// Brownout evaluation: score only every `stride`-th sensor (the
+    /// documented sampled subset `{0, stride, 2·stride, …}`) so the fleet
+    /// view keeps refreshing under overload at a fraction of the cost.
+    /// Stride 1 (or 0) is full fidelity, identical to
+    /// [`OnlineEvaluator::evaluate`].
+    ///
+    /// Contract for stride > 1: unsampled sensors get `p = 1.0` and are
+    /// never rejected — they are *unknown*, not cleared; the outcome is
+    /// marked [`EvalOutcome::degraded`] so dashboards can badge it; the
+    /// block T² view is omitted (it needs every sensor in a block). FDR
+    /// control is applied to the sampled p-values only, preserving
+    /// calibration on the subset actually tested.
+    pub fn evaluate_sampled(&self, window: &Matrix, stride: usize) -> EvalOutcome {
+        let (n, p) = window.shape();
+        assert_eq!(p, self.model.sensors(), "sensor count mismatch");
+        assert!(n > 0, "window must be non-empty");
+        let stride = stride.max(1);
+        // Sampled sensors' column sums, each accumulated in sample order.
+        let mut means = vec![0.0; p.div_ceil(stride)];
+        for r in 0..n {
+            for (m, &x) in means.iter_mut().zip(window.row(r).iter().step_by(stride)) {
+                *m += x;
+            }
+        }
+        let inv = 1.0 / n as f64;
+        pga_linalg::scale(&mut means, inv);
+        self.score(n, stride, means)
+    }
+
+    /// The one scoring core: per-sensor z-tests on the sampled sensors
+    /// (`means[k]` is sensor `k·stride`'s mean over `n` samples), FDR
+    /// control over their p-values, and — at stride 1 — the block T².
+    fn score(&self, n: usize, stride: usize, means: Vec<f64>) -> EvalOutcome {
+        let p = self.model.sensors();
+        let sampled = means.len();
         // Per-sensor z-test p-values. The baseline mean is itself an
         // estimate from `trained_rows` observations, so the standard error
         // of (window mean − trained mean) is σ·√(1/n + 1/n_train);
         // ignoring the training term miscalibrates the nulls and lets
         // borderline sensors free-ride on the BH threshold.
         let var_factor = (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt();
-        let p_values: Vec<f64> = (0..p)
-            .map(|j| {
-                let std = self.model.stds[j];
-                if std == 0.0 {
-                    return if means[j] == self.model.means[j] {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                }
-                let z = (means[j] - self.model.means[j]) / (std * var_factor);
-                pga_stats::two_sided_p_from_z(z)
-            })
-            .collect();
-        let rej = self.procedure.apply(&p_values, self.alpha);
-        let flags: Vec<SensorFlag> = rej
-            .rejected
+        let sampled_p: Vec<f64> = means
             .iter()
             .enumerate()
-            .filter(|&(_, &r)| r)
-            .map(|(j, _)| SensorFlag {
-                sensor: j as u32,
-                p_value: p_values[j],
-                window_mean: means[j],
-                baseline_mean: self.model.means[j],
-            })
-            .collect();
-        // Per-block T² on the mean vector (centred, projected, whitened).
-        // Var(mean difference) = Σ(1/n + 1/n_train), so scores scale by
-        // 1/var_factor before the χ² comparison.
-        let inv_vf = 1.0 / var_factor;
-        let block_p_values: Vec<(usize, f64)> = self
-            .model
-            .blocks
-            .iter()
-            .map(|b| {
-                let centered: Vec<f64> = (0..b.len)
-                    .map(|k| (means[b.start + k] - self.model.means[b.start + k]) * inv_vf)
-                    .collect();
-                let scores = b.project(&centered);
-                let (t2, dof) = t_square_statistic(&scores, &b.eigenvalues, 1e-9);
-                (b.start, t_square_p_value(t2, dof))
-            })
-            .collect();
-        EvalOutcome {
-            unit: self.model.unit,
-            p_values,
-            flags,
-            rejected: rej.rejected,
-            block_p_values,
-            samples_scored: (n * p) as u64,
-            degraded: false,
-            sensors_evaluated: p as u64,
-        }
-    }
-
-    /// Brownout evaluation: score only every `stride`-th sensor (the
-    /// documented sampled subset `{0, stride, 2·stride, …}`) so the fleet
-    /// view keeps refreshing under overload at a fraction of the cost.
-    ///
-    /// Contract: unsampled sensors get `p = 1.0` and are never rejected —
-    /// they are *unknown*, not cleared; the outcome is marked
-    /// [`EvalOutcome::degraded`] so dashboards can badge it; the block T²
-    /// view is omitted (it needs every sensor in a block). FDR control is
-    /// applied to the sampled p-values only, preserving calibration on
-    /// the subset actually tested.
-    pub fn evaluate_sampled(&self, window: &Matrix, stride: usize) -> EvalOutcome {
-        let stride = stride.max(1);
-        if stride == 1 {
-            return self.evaluate(window);
-        }
-        let (n, p) = window.shape();
-        assert_eq!(p, self.model.sensors(), "sensor count mismatch");
-        assert!(n > 0, "window must be non-empty");
-        let sampled: Vec<usize> = (0..p).step_by(stride).collect();
-        // Window means for sampled sensors only.
-        let mut means = vec![0.0; p];
-        for r in 0..n {
-            let row = window.row(r);
-            for &j in &sampled {
-                means[j] += row[j];
-            }
-        }
-        let inv = 1.0 / n as f64;
-        for &j in &sampled {
-            means[j] *= inv;
-        }
-        let var_factor = (1.0 / n as f64 + 1.0 / self.model.trained_rows.max(1) as f64).sqrt();
-        let sampled_p: Vec<f64> = sampled
-            .iter()
-            .map(|&j| {
+            .map(|(k, &mean)| {
+                let j = k * stride;
                 let std = self.model.stds[j];
                 if std == 0.0 {
-                    return if means[j] == self.model.means[j] {
+                    return if mean == self.model.means[j] {
                         1.0
                     } else {
                         0.0
                     };
                 }
-                let z = (means[j] - self.model.means[j]) / (std * var_factor);
+                let z = (mean - self.model.means[j]) / (std * var_factor);
                 pga_stats::two_sided_p_from_z(z)
             })
             .collect();
         let rej = self.procedure.apply(&sampled_p, self.alpha);
-        // Expand back to full width: unsampled sensors are unknown.
+        // Expand to the full sensor family: unsampled sensors are unknown.
         let mut p_values = vec![1.0; p];
         let mut rejected = vec![false; p];
         let mut flags = Vec::new();
-        for (k, &j) in sampled.iter().enumerate() {
-            p_values[j] = sampled_p[k];
-            rejected[j] = rej.rejected[k];
-            if rej.rejected[k] {
+        for (k, (&p_value, &reject)) in sampled_p.iter().zip(&rej.rejected).enumerate() {
+            let j = k * stride;
+            p_values[j] = p_value;
+            rejected[j] = reject;
+            if reject {
                 flags.push(SensorFlag {
                     sensor: j as u32,
-                    p_value: sampled_p[k],
-                    window_mean: means[j],
+                    p_value,
+                    window_mean: means[k],
                     baseline_mean: self.model.means[j],
                 });
             }
         }
+        // Per-block T² on the mean vector (centred, projected, whitened).
+        // Var(mean difference) = Σ(1/n + 1/n_train), so scores scale by
+        // 1/var_factor before the χ² comparison. Only a full-width mean
+        // vector covers every sensor of a block.
+        let inv_vf = 1.0 / var_factor;
+        let block_p_values: Vec<(usize, f64)> = if stride == 1 {
+            self.model
+                .blocks
+                .iter()
+                .map(|b| {
+                    let centered: Vec<f64> = (0..b.len)
+                        .map(|k| (means[b.start + k] - self.model.means[b.start + k]) * inv_vf)
+                        .collect();
+                    let scores = b.project(&centered);
+                    let (t2, dof) = t_square_statistic(&scores, &b.eigenvalues, 1e-9);
+                    (b.start, t_square_p_value(t2, dof))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         EvalOutcome {
             unit: self.model.unit,
             p_values,
             flags,
             rejected,
-            block_p_values: Vec::new(),
-            samples_scored: (n * sampled.len()) as u64,
-            degraded: true,
-            sensors_evaluated: sampled.len() as u64,
+            block_p_values,
+            samples_scored: (n * sampled) as u64,
+            degraded: stride > 1,
+            sensors_evaluated: sampled as u64,
         }
-    }
-
-    /// Evaluate many windows in parallel (one per unit-evaluator pair is
-    /// the common shape; this helper parallelises over windows for the
-    /// throughput benchmark E3).
-    pub fn evaluate_many(&self, windows: &[Matrix]) -> Vec<EvalOutcome> {
-        windows.par_iter().map(|w| self.evaluate(w)).collect()
     }
 }
 
@@ -396,21 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_many_matches_single() {
-        let fleet = Fleet::new(FleetConfig::small(47));
-        let ev = trained_evaluator(&fleet, 0);
-        let w1 = fleet.observation_window(0, 199, 25);
-        let w2 = fleet.observation_window(0, 299, 25);
-        let batch = ev.evaluate_many(&[w1.clone(), w2.clone()]);
-        assert_eq!(batch[0].p_values, ev.evaluate(&w1).p_values);
-        assert_eq!(batch[1].p_values, ev.evaluate(&w2).p_values);
-        assert_eq!(
-            batch[0].samples_scored,
-            25 * fleet.config().sensors_per_unit as u64
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "sensor count mismatch")]
     fn wrong_width_window_panics() {
         let fleet = Fleet::new(FleetConfig::small(53));
@@ -467,9 +395,23 @@ mod tests {
         let fleet = Fleet::new(FleetConfig::small(61));
         let ev = trained_evaluator(&fleet, 0);
         let w = fleet.observation_window(0, 199, 25);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let block_bits =
+            |v: &[(usize, f64)]| v.iter().map(|&(s, p)| (s, p.to_bits())).collect::<Vec<_>>();
         let full = ev.evaluate(&w);
-        let sampled = ev.evaluate_sampled(&w, 1);
-        assert_eq!(sampled.p_values, full.p_values);
-        assert!(!sampled.degraded, "stride 1 is full fidelity");
+        assert!(!full.block_p_values.is_empty());
+        for stride in [0, 1] {
+            let sampled = ev.evaluate_sampled(&w, stride);
+            assert_eq!(bits(&sampled.p_values), bits(&full.p_values));
+            assert_eq!(
+                block_bits(&sampled.block_p_values),
+                block_bits(&full.block_p_values)
+            );
+            assert_eq!(sampled.rejected, full.rejected);
+            assert_eq!(sampled.flags, full.flags);
+            assert_eq!(sampled.samples_scored, full.samples_scored);
+            assert_eq!(sampled.sensors_evaluated, full.sensors_evaluated);
+            assert!(!sampled.degraded, "stride 1 is full fidelity");
+        }
     }
 }

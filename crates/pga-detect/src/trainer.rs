@@ -76,30 +76,6 @@ pub fn train_unit(unit: u32, observations: &Matrix) -> Result<UnitModel, TrainEr
     Ok(model)
 }
 
-/// Train one unit's model from **per-sensor column slices** — the shape
-/// the columnar block store hands back. The columns are transposed into
-/// the row-major observation window and trained with [`train_unit`], so
-/// the resulting model is identical to batch training on the same data.
-pub fn train_unit_columns(unit: u32, columns: &[&[f64]]) -> Result<UnitModel, TrainError> {
-    let p = columns.len();
-    let n = columns.first().map_or(0, |c| c.len());
-    if n < 2 {
-        return Err(TrainError::InsufficientData { rows: n });
-    }
-    if columns.iter().any(|c| c.len() != n) {
-        return Err(TrainError::Decomposition(format!(
-            "ragged columns: every sensor needs {n} samples"
-        )));
-    }
-    let mut obs = Matrix::zeros(n, p);
-    for (j, col) in columns.iter().enumerate() {
-        for (r, &v) in col.iter().enumerate() {
-            obs.set(r, j, v);
-        }
-    }
-    train_unit(unit, &obs)
-}
-
 /// Train the whole fleet in parallel on the dataflow engine, optionally
 /// caching each model ("results … are cached to HDFS").
 ///
@@ -114,14 +90,10 @@ pub fn train_fleet(
     cache: Option<&DiskCache>,
 ) -> Result<Vec<UnitModel>, TrainError> {
     let units: Vec<u32> = (0..fleet.config().units).collect();
-    let partitions = dataflow.workers().max(1) * 2;
-    let results: Vec<Result<UnitModel, TrainError>> = dataflow
-        .parallelize(units, partitions)
-        .map(|unit| {
-            let obs = fleet.observation_window(unit, window as u64 - 1, window);
-            train_unit(unit, &obs)
-        })
-        .collect();
+    let results: Vec<Result<UnitModel, TrainError>> = dataflow.map(units, |unit| {
+        let obs = fleet.observation_window(unit, window as u64 - 1, window);
+        train_unit(unit, &obs)
+    });
     let mut models = Vec::with_capacity(results.len());
     for r in results {
         let model = r?;
@@ -172,22 +144,6 @@ mod tests {
                 b.start
             );
         }
-    }
-
-    #[test]
-    fn columnar_training_equals_row_major() {
-        let fleet = Fleet::new(FleetConfig::small(17));
-        let obs = fleet.observation_window(0, 119, 120);
-        let cols: Vec<Vec<f64>> = (0..obs.cols()).map(|c| obs.col(c)).collect();
-        let refs: Vec<&[f64]> = cols.iter().map(|c| c.as_slice()).collect();
-        let a = train_unit(0, &obs).unwrap();
-        let b = train_unit_columns(0, &refs).unwrap();
-        assert_eq!(a, b, "transposed input must yield the identical model");
-        assert!(matches!(
-            train_unit_columns(0, &[&[1.0][..]]),
-            Err(TrainError::InsufficientData { rows: 1 })
-        ));
-        assert!(train_unit_columns(0, &[&[1.0, 2.0][..], &[3.0][..]]).is_err());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! provides the equivalent dense kernels from scratch:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the usual algebra;
-//!   the multiply is cache-tiled over all three loop dimensions (serial
-//!   and [rayon]-parallel variants share one band kernel and agree
-//!   bit-for-bit), with a textbook [`Matrix::naive_matmul`] kept as the
+//!   the multiply is cache-tiled over all three loop dimensions and runs
+//!   serially, with a textbook [`Matrix::naive_matmul`] kept as the
 //!   differential baseline.
 //! * [`covariance_matrix`] — sample covariance of an observation matrix,
 //!   computed as a cache-tiled Gram update over column tiles;

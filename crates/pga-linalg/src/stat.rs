@@ -62,7 +62,9 @@ const COV_BLOCK: usize = 64;
 /// row slices it reads are contiguous in the row-major data, so one pass
 /// over `Xc` serves a whole tile from cache instead of re-streaming two
 /// full `n`-length columns per output element the way the naive transpose
-/// kernel does. Tiles are independent and computed in parallel.
+/// kernel does. Tiles are independent; they go through the vendored
+/// `rayon` shim, which is sequential, so they run one after another on
+/// the calling thread.
 ///
 /// Verified against [`covariance_naive`] to `1e-9` by the differential
 /// suite.

@@ -100,6 +100,12 @@ impl RowRange {
             && (self.end.is_empty() || row < &self.end[..])
     }
 
+    /// Does the range hold no rows at all? True when a non-empty start
+    /// sits at or past a non-empty end, as in an inverted range.
+    pub fn is_empty(&self) -> bool {
+        !self.start.is_empty() && !self.end.is_empty() && self.start >= self.end
+    }
+
     /// Do two ranges overlap?
     pub fn overlaps(&self, other: &RowRange) -> bool {
         let starts_before_other_ends =

@@ -414,9 +414,13 @@ impl Region {
     }
 
     /// Scan cells in `range` (clipped to the region's own range), merged
-    /// across the memstore and all store files, sorted, deduplicated.
+    /// across the memstore and all store files, sorted, deduplicated. An
+    /// inverted range, or one clipped to nothing, yields no cells.
     pub fn scan(&self, range: &RowRange) -> Vec<KeyValue> {
         let clipped = clip(range, &self.range);
+        if clipped.is_empty() {
+            return Vec::new();
+        }
         let mut sources = Vec::with_capacity(self.files.len() + 1);
         let mut priorities = Vec::with_capacity(self.files.len() + 1);
         for f in &self.files {

@@ -155,3 +155,23 @@ fn whole_cluster_restart_from_shutdown_is_clean() {
         master.shutdown();
     }
 }
+
+#[test]
+fn inverted_scan_returns_empty_and_leaves_the_server_up() {
+    let (master, client) = cluster(1, &[]);
+    for row in ["a", "b", "c", "d"] {
+        client.put(vec![kv(row, 1, "v")]).unwrap();
+    }
+    // Start at or past end: no row can fall inside, so the answer is empty.
+    assert!(client.scan(&RowRange::new("d", "b")).unwrap().is_empty());
+    assert!(client.scan(&RowRange::new("c", "c")).unwrap().is_empty());
+    // The region server survived and still serves a normal scan.
+    let rows: Vec<Vec<u8>> = client
+        .scan(&RowRange::new("b", "d"))
+        .unwrap()
+        .into_iter()
+        .map(|c| c.row.to_vec())
+        .collect();
+    assert_eq!(rows, vec![b"b".to_vec(), b"c".to_vec()]);
+    master.shutdown();
+}

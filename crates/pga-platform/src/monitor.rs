@@ -235,7 +235,14 @@ impl Monitor {
                 .get("sensor")
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| MonitorError::Storage("series missing sensor tag".into()))?;
+            // Anyone can write through `/api/put`, so the stored tag is
+            // untrusted input, not an index.
             let j = sensor as usize;
+            if j >= p {
+                return Err(MonitorError::Storage(format!(
+                    "unit {unit} series has sensor tag {sensor}, but units have {p} sensors"
+                )));
+            }
             for pt in &s.points {
                 let tick = pt.timestamp / period;
                 let row = (tick - start_tick) as usize;
@@ -266,11 +273,10 @@ impl Monitor {
         for &u in &units {
             observations.push((u, self.window_from_store(u, t_end, window)?));
         }
-        let results: Vec<Result<UnitModel, String>> = self
-            .dataflow
-            .parallelize(observations, self.config.workers * 2)
-            .map(|(u, obs)| train_unit(u, &obs).map_err(|e| e.to_string()))
-            .collect();
+        let results: Vec<Result<UnitModel, String>> =
+            self.dataflow.map(observations, |(u, obs)| {
+                train_unit(u, &obs).map_err(|e| e.to_string())
+            });
         let mut models = Vec::with_capacity(results.len());
         for r in results {
             models.push(r.map_err(MonitorError::Train)?);

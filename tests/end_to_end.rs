@@ -1,6 +1,6 @@
 //! End-to-end integration: generator → proxy → TSDB → detector → viz.
 
-use pga_platform::{Monitor, PlatformConfig};
+use pga_platform::{Monitor, MonitorError, PlatformConfig};
 use pga_sensorgen::FaultClass;
 
 fn monitor(seed: u64) -> Monitor {
@@ -154,5 +154,22 @@ fn repeated_evaluation_is_idempotent_on_history() {
         assert_eq!(a.p_values, b.p_values);
         assert_eq!(a.rejected, b.rejected);
     }
+    m.shutdown();
+}
+
+#[test]
+fn out_of_range_sensor_tag_is_a_typed_storage_error() {
+    let mut m = monitor(127);
+    m.ingest_range(0, 650);
+    m.train(149).unwrap();
+    // A point for sensor 48 of a 48-sensor unit, as `/api/put` accepts it.
+    let put =
+        r#"{"metric":"energy","timestamp":649,"value":1.0,"tags":{"unit":"0","sensor":"48"}}"#;
+    assert_eq!(pga_tsdb::handle_put(m.tsd(), put).unwrap(), 1);
+    assert!(matches!(m.evaluate_at(649), Err(MonitorError::Storage(_))));
+    assert!(matches!(
+        m.machine_page_html(0, 649, 100, 8),
+        Err(MonitorError::Storage(_))
+    ));
     m.shutdown();
 }
